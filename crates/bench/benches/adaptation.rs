@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use lira_core::prelude::*;
 use lira_mobility::motion::DeadReckoner;
-use lira_server::grid_index::GridIndex;
+use lira_server::cq_engine::CqServer;
 use lira_server::queue::UpdateQueue;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -178,24 +178,27 @@ fn bench_tpr_tree(c: &mut Criterion) {
     });
 }
 
-/// The server's hot path: a position update through the grid index.
-fn bench_grid_index_update(c: &mut Criterion) {
-    let mut index = GridIndex::new(bounds(), 64, 10_000);
+/// The server's hot path: a position update through `CqServer::ingest`
+/// (the node store plus the unified engine's per-node state).
+fn bench_server_ingest(c: &mut Criterion) {
+    let mut server = CqServer::new(bounds(), 10_000);
     let mut rng = SmallRng::seed_from_u64(9);
     let moves: Vec<(u32, Point)> = (0..10_000u32)
         .map(|n| {
             (
-                n % 10_000,
+                n,
                 Point::new(rng.gen_range(0.0..14_142.0), rng.gen_range(0.0..14_142.0)),
             )
         })
         .collect();
-    c.bench_function("grid_index/update", |b| {
+    c.bench_function("cq_server/ingest", |b| {
         let mut i = 0usize;
         b.iter(|| {
-            i = (i + 1) % moves.len();
-            let (n, p) = moves[i];
-            index.update(black_box(n), black_box(&p));
+            i += 1;
+            let (n, p) = moves[i % moves.len()];
+            // A fresh report time each pass, so no update reads as stale.
+            let t = (i / moves.len()) as f64;
+            server.ingest(black_box(n), t, black_box(p), (1.0, 0.0))
         })
     });
 }
@@ -222,7 +225,7 @@ fn bench_queue(c: &mut Criterion) {
             for i in 0..100u64 {
                 queue.offer(black_box(i));
             }
-            black_box(queue.service(100).len())
+            black_box(queue.service_at(100).len())
         })
     });
 }
@@ -250,7 +253,7 @@ criterion_group!(
     bench_grid_reduce,
     bench_greedy_increment,
     bench_plan_lookup,
-    bench_grid_index_update,
+    bench_server_ingest,
     bench_tpr_tree,
     bench_dead_reckoning,
     bench_queue,

@@ -85,8 +85,8 @@ fn run_churn(sc: &Scenario, adaptive: bool) -> (f64, f64) {
         )
     };
 
-    let mut reference = CqServer::new(bounds, sc.num_cars, 64);
-    let mut shed = CqServer::new(bounds, sc.num_cars, 64);
+    let mut reference = CqServer::new(bounds, sc.num_cars);
+    let mut shed = CqServer::new(bounds, sc.num_cars);
     reference.register_queries(queries.iter().copied());
     shed.register_queries(queries.iter().copied());
     let mut ref_reckoners = vec![DeadReckoner::new(); sc.num_cars];

@@ -6,7 +6,7 @@
 //! every stored node each round) on the same churning node population,
 //! across node × query scales, for all three server operations:
 //! `evaluate`, `evaluate_uncertain` and `nearest`. At small scales the
-//! legacy per-query oracle is timed too. Before timing, each scale
+//! store-scan reference (`EvalEngine::Legacy`) is timed too. Before timing, each scale
 //! cross-checks the engines for equal results — a benchmark of a wrong
 //! engine is worthless.
 //!
@@ -53,7 +53,7 @@ const CHURN_FRAC: f64 = 0.10;
 const MAX_DELTA: f64 = 320.0;
 /// k for the nearest-neighbor benchmark (Ride Finder's "10 nearby taxis").
 const NEAREST_K: usize = 10;
-/// The legacy per-query oracle is only timed up to this many nodes —
+/// The store-scan reference is only timed up to this many nodes —
 /// beyond it a single legacy round takes longer than the whole scale's
 /// budget, and the equivalence battery already covers correctness.
 const LEGACY_MAX_NODES: usize = 10_000;
@@ -71,7 +71,7 @@ fn make_server(
     engine: EvalEngine,
 ) -> CqServer {
     let bounds = Rect::from_coords(0.0, 0.0, space_m, space_m);
-    let mut server = CqServer::new(bounds, num_nodes, 64).with_engine(engine);
+    let mut server = CqServer::new(bounds, num_nodes).with_engine(engine);
     server.register_queries(queries.iter().copied());
     server
 }
@@ -100,7 +100,8 @@ fn bench_plan(space_m: f64) -> SheddingPlan {
 }
 
 /// Cross-checks the engines before timing them: unified vs the sweep
-/// baseline at every scale, plus the legacy oracle where it is timed.
+/// baseline at every scale, plus the store-scan reference where it is
+/// timed.
 fn verify_engines_agree(
     num_nodes: usize,
     space_m: f64,
@@ -364,7 +365,7 @@ fn main() {
         )
     };
     println!(
-        "== exp_eval: unified engine vs sweep baseline (and legacy oracle ≤ {LEGACY_MAX_NODES} \
+        "== exp_eval: unified engine vs sweep baseline (and store scan ≤ {LEGACY_MAX_NODES} \
          nodes), {mode} ladder ({} scales, {:.0}% churn/round)",
         ladder.len(),
         churn_frac * 100.0

@@ -91,8 +91,8 @@ fn run_with_history(sc: &Scenario) -> (f64, f64, f64) {
         .plan;
 
     // Two servers + two histories (reference at Δ⊢, shed per plan).
-    let mut ref_server = CqServer::new(bounds, sc.num_cars, 64);
-    let mut shed_server = CqServer::new(bounds, sc.num_cars, 64);
+    let mut ref_server = CqServer::new(bounds, sc.num_cars);
+    let mut shed_server = CqServer::new(bounds, sc.num_cars);
     ref_server.register_queries(queries.iter().copied());
     shed_server.register_queries(queries.iter().copied());
     let mut ref_history = HistoryStore::new(sc.num_cars);

@@ -97,8 +97,8 @@ fn run_knn(sc: &lira_sim::scenario::Scenario, policy: Policy) -> (f64, f64) {
     let plan = shedding.adapt(&grid, sc.throttle).unwrap();
     let admission = shedding.admission(sc.throttle);
 
-    let mut reference = CqServer::new(bounds, sc.num_cars, 64);
-    let mut shed = CqServer::new(bounds, sc.num_cars, 64);
+    let mut reference = CqServer::new(bounds, sc.num_cars);
+    let mut shed = CqServer::new(bounds, sc.num_cars);
     let mut ref_reckoners = vec![DeadReckoner::new(); sc.num_cars];
     let mut shed_reckoners = vec![DeadReckoner::new(); sc.num_cars];
     let mut drop_rng = SmallRng::seed_from_u64(sc.seed ^ 0x7777);

@@ -134,7 +134,7 @@ fn make_server(
     engine: EvalEngine,
 ) -> CqServer {
     let bounds = Rect::from_coords(0.0, 0.0, space_m, space_m);
-    let mut server = CqServer::new(bounds, num_nodes, 64)
+    let mut server = CqServer::new(bounds, num_nodes)
         .with_engine(engine)
         .with_rebalance(rebalance_from_env(true));
     server.register_queries(queries.iter().copied());

@@ -160,6 +160,23 @@ impl Histogram {
         let _ = v;
     }
 
+    /// Records `n` samples of the same value `v`: the same snapshot as
+    /// `n` calls of [`record`](Self::record), for one set of atomic
+    /// updates. `n = 0` records nothing.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        #[cfg(not(feature = "telemetry-off"))]
+        if self.active && n > 0 {
+            self.count.fetch_add(n, Ordering::Relaxed);
+            self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+            self.min.fetch_min(v, Ordering::Relaxed);
+            self.max.fetch_max(v, Ordering::Relaxed);
+            self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        }
+        #[cfg(feature = "telemetry-off")]
+        let _ = (v, n);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -282,6 +299,36 @@ mod tests {
 
     #[cfg(not(feature = "telemetry-off"))]
     #[test]
+    fn record_n_equals_n_single_records() {
+        // Includes n = 0, a zero value, and a sum that wraps.
+        let runs = [
+            (40u64, 3u64),
+            (0, 2),
+            (7, 0),
+            (1 << 20, 1),
+            (u64::MAX / 3, 4),
+        ];
+        let batched = Histogram::new(true);
+        let single = Histogram::new(true);
+        for (v, n) in runs {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+            assert_eq!(batched.count(), single.count());
+            assert_eq!(batched.sum(), single.sum());
+            assert_eq!(batched.min(), single.min());
+            assert_eq!(batched.max(), single.max());
+            assert_eq!(batched.bucket_counts(), single.bucket_counts());
+        }
+        // n = 0 on an empty histogram leaves min/max unset.
+        let empty = Histogram::new(true);
+        empty.record_n(9, 0);
+        assert_eq!((empty.count(), empty.min(), empty.max()), (0, None, None));
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
     fn gauge_ignores_non_finite() {
         let g = Gauge::new(true);
         g.set(2.5);
@@ -297,6 +344,7 @@ mod tests {
         assert_eq!(c.get(), 0);
         let h = Histogram::new(false);
         h.record(7);
+        h.record_n(7, 3);
         assert_eq!(h.count(), 0);
         let g = Gauge::new(false);
         g.set(1.0);

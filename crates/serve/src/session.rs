@@ -80,8 +80,8 @@ impl ServePolicy {
 pub struct ServeConfig {
     /// Monitored space (must be square — LIRA's grids require it).
     pub bounds: Rect,
-    /// Node-id capacity of the engine (ids ≥ this are still accepted by
-    /// the store's growable path, but sizing it right avoids rehashing).
+    /// Node-id capacity of the engine: a `Batch` carrying an id ≥ this
+    /// is rejected whole.
     pub num_nodes: usize,
     /// Engine shards (spatial stripes of the unified engine).
     pub shards: usize,
@@ -95,8 +95,6 @@ pub struct ServeConfig {
     pub service_rate: f64,
     /// Run a plan adaptation every this many closed windows.
     pub adapt_every_windows: u32,
-    /// Grid-index cells per side in the engine.
-    pub index_side: usize,
     /// LIRA region budget `l` (`l mod 3 == 1`).
     pub num_regions: usize,
     /// Minimum inaccuracy threshold Δ_min (m) — also the plan default.
@@ -129,7 +127,6 @@ impl ServeConfig {
             queue_capacity: (num_nodes / 10).max(64),
             service_rate: (num_nodes as f64).max(1000.0),
             adapt_every_windows: 1,
-            index_side: 64,
             num_regions: 250,
             delta_min: 5.0,
             delta_max: 100.0,
@@ -303,7 +300,7 @@ impl SessionCore {
         lira.validate()
             .expect("serve config produces a valid LiraConfig");
         let per_shard = (cfg.queue_capacity / cfg.shards).max(1);
-        let server = CqServer::new(cfg.bounds, cfg.num_nodes, cfg.index_side)
+        let server = CqServer::new(cfg.bounds, cfg.num_nodes)
             .with_engine(EvalEngine::Unified { shards: cfg.shards })
             .with_rebalance(cfg.rebalance);
         let mut grid = StatsGrid::new(lira.alpha, cfg.bounds).expect("alpha/bounds validated");
@@ -438,22 +435,36 @@ impl SessionCore {
                 out.replies.push(Frame::Ack { of: kind::REGISTER });
             }
             Frame::Batch { t, updates } => {
+                // One bad id would panic the engine at the next drain and
+                // take every connection down with it, so the whole frame
+                // is refused before any of it is queued.
+                if let Some(u) = updates.iter().find(|u| u.id as usize >= self.cfg.num_nodes) {
+                    let message = format!(
+                        "node id {} out of range (num_nodes {})",
+                        u.id, self.cfg.num_nodes
+                    );
+                    out.replies
+                        .push(self.reject(conn, protocol::ERR_INVALID, message));
+                    return out;
+                }
                 self.batches_rx += 1;
                 self.updates_rx += updates.len() as u64;
                 self.tel.rx_updates.add(updates.len() as u64);
                 self.tel.batch_updates.record(updates.len() as u64);
                 let wall = self.wall();
+                let mut admitted = 0u64;
+                let offered = updates.len() as u64;
                 for u in updates {
                     let slice = self.table.slice_of(u.id);
                     let shard = self.table.assignments()[slice] as usize;
                     if self.queues[shard].offer_at(wall, Pending { u, t }) {
-                        self.updates_admitted += 1;
+                        admitted += 1;
                         self.slice_admits[slice] += 1;
-                        self.tel.queue_admitted.incr();
-                    } else {
-                        self.tel.queue_dropped.incr();
                     }
                 }
+                self.updates_admitted += admitted;
+                self.tel.queue_admitted.add(admitted);
+                self.tel.queue_dropped.add(offered - admitted);
             }
             Frame::EvalReq { t } => {
                 self.drain();
@@ -664,22 +675,27 @@ impl SessionCore {
     /// shard, so per-node update order is preserved — and updates of
     /// distinct nodes commute in the engine, making the drain order
     /// equivalent to arrival order.
+    ///
+    /// Every update of one `Batch` carries the same arrival stamp, so the
+    /// queue wait is recorded once per run of equal stamps.
     fn drain(&mut self) {
         let wall = self.wall();
-        for qi in 0..self.queues.len() {
-            let n = self.queues[qi].len();
-            if n == 0 {
-                continue;
-            }
-            for (offered, p) in self.queues[qi].service_at(n) {
+        let wait_us = |offered: f64| ((wall - offered).max(0.0) * 1e6) as u64;
+        for queue in &mut self.queues {
+            self.observed_since_adapt += queue.len() as u64;
+            let (mut stamp, mut run) = (f64::NAN, 0u64);
+            for (offered, p) in queue.service_at(usize::MAX) {
                 let origin = Point::new(p.u.x, p.u.y);
                 let speed = (p.u.vx * p.u.vx + p.u.vy * p.u.vy).sqrt();
                 self.server.ingest(p.u.id, p.t, origin, (p.u.vx, p.u.vy));
                 self.grid.observe_node(&origin, speed, 1.0);
-                self.observed_since_adapt += 1;
-                let wait_us = ((wall - offered).max(0.0) * 1e6) as u64;
-                self.tel.queue_wait_us.record(wait_us);
+                if offered != stamp {
+                    self.tel.queue_wait_us.record_n(wait_us(stamp), run);
+                    (stamp, run) = (offered, 0);
+                }
+                run += 1;
             }
+            self.tel.queue_wait_us.record_n(wait_us(stamp), run);
         }
     }
 
@@ -914,7 +930,7 @@ mod tests {
         let mut s = tiny(); // capacity 64 over 2 shards = 32 each
         let conn = s.open_conn();
         s.handle(conn, Frame::Hello { flags: 0 });
-        let updates: Vec<WireUpdate> = (0..500).map(|i| upd(i, 10.0, 10.0)).collect();
+        let updates: Vec<WireUpdate> = (0..500).map(|i| upd(i % 100, 10.0, 10.0)).collect();
         s.handle(conn, Frame::Batch { t: 0.0, updates });
         let out = s.handle(
             conn,
@@ -974,6 +990,107 @@ mod tests {
                 of: kind::SET_SLICE
             }]
         );
+    }
+
+    /// Runs a well-behaved client through five evaluated rounds; with
+    /// `hostile`, a second connection sends a `Batch` carrying an id past
+    /// `num_nodes` before every round. Returns the good client's last
+    /// digest and the session.
+    fn good_client_digest(hostile: bool) -> (u64, SessionCore) {
+        let mut s = tiny();
+        let good = s.open_conn();
+        let bad = s.open_conn();
+        s.handle(good, Frame::Hello { flags: 1 });
+        s.handle(
+            good,
+            Frame::Register {
+                queries: vec![crate::protocol::WireQuery {
+                    id: 0,
+                    min_x: 0.0,
+                    min_y: 0.0,
+                    max_x: 500.0,
+                    max_y: 1000.0,
+                }],
+            },
+        );
+        let mut digest = 0;
+        for r in 0..5 {
+            let t = r as f64;
+            if hostile {
+                let out = s.handle(
+                    bad,
+                    Frame::Batch {
+                        t,
+                        updates: vec![upd(3, 10.0, 10.0), upd(100, 20.0, 20.0)],
+                    },
+                );
+                assert!(matches!(
+                    out.replies[..],
+                    [Frame::Error {
+                        code: protocol::ERR_INVALID,
+                        ..
+                    }]
+                ));
+            }
+            let updates = (0..40)
+                .map(|i| upd(i, (i as f64 * 23.0 + t) % 1000.0, 400.0))
+                .collect();
+            s.handle(good, Frame::Batch { t, updates });
+            s.handle(good, Frame::WindowClose { t, window_s: 1.0 });
+            match &s.handle(good, Frame::EvalReq { t }).replies[..] {
+                [Frame::EvalRes { digest: d, .. }] => digest = *d,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        (digest, s)
+    }
+
+    #[test]
+    fn out_of_range_node_ids_are_refused_without_harming_other_clients() {
+        let (clean, clean_session) = good_client_digest(false);
+        let (attacked, s) = good_client_digest(true);
+        assert_eq!(attacked, clean, "the good client's results are untouched");
+        assert_eq!(s.protocol_errors(), 5);
+        assert_eq!(s.conns[1].errors, 5);
+        assert_eq!(s.conns[0].errors, 0);
+        // None of the refused frames' updates were admitted or counted.
+        let report = Json::parse(&s.deterministic_json()).unwrap();
+        let clean_report = Json::parse(&clean_session.deterministic_json()).unwrap();
+        for key in ["updates_admitted", "updates_rx", "batches_rx"] {
+            assert_eq!(report.get(key), clean_report.get(key), "{key}");
+        }
+    }
+
+    #[test]
+    fn queue_wait_counts_every_drained_update() {
+        let mut s = tiny(); // 32 slots per shard
+        let conn = s.open_conn();
+        s.handle(conn, Frame::Hello { flags: 0 });
+        // Several batches (distinct arrival stamps) per drain, one of them
+        // overflowing a shard queue.
+        for r in 0..3 {
+            for b in 0..4u32 {
+                let updates = (0..10 + 7 * b)
+                    .map(|i| upd(i, (i * 31 % 1000) as f64, 500.0))
+                    .collect();
+                s.handle(
+                    conn,
+                    Frame::Batch {
+                        t: r as f64,
+                        updates,
+                    },
+                );
+            }
+            s.handle(conn, Frame::EvalReq { t: r as f64 });
+        }
+        let snap = s.telemetry_snapshot();
+        let wait = snap.histogram("serve.queue.wait_us").unwrap();
+        assert_eq!(wait.count, s.updates_admitted);
+        assert_eq!(
+            s.updates_admitted,
+            s.queues.iter().map(|q| q.serviced()).sum::<u64>()
+        );
+        assert!(s.dropped() > 0, "the overflow case ran");
     }
 
     #[test]

@@ -1,23 +1,14 @@
 //! The mobile CQ server: ingests dead-reckoned position updates and
 //! periodically re-evaluates the registered continual range queries over
 //! the *predicted* node positions, in the style of SINA-like periodic
-//! evaluation over a grid index.
+//! evaluation. Each node has one record: its last motion model in the
+//! [`NodeStore`], plus the unified engine's per-node cell state.
 
 use lira_core::geometry::{Point, Rect};
 
-use crate::index::{MovingIndex, PredictedGrid};
 use crate::node_store::NodeStore;
 use crate::query::{QueryResult, RangeQuery, UncertainResult};
 use crate::unified::{RestripeStats, ShardStats, UnifiedEval};
-
-/// Safety padding added to the *candidate-gathering* rectangle of the
-/// legacy uncertain path: when a query's expanded edge lands exactly on a
-/// grid-cell boundary, a node sitting at distance exactly `Δ⊣` could fall
-/// outside the half-open candidate rect. Classification afterwards uses
-/// the real range and real `Δ`, so over-approximating candidates never
-/// changes results.
-#[cfg(feature = "legacy-oracle")]
-const CANDIDATE_PAD: f64 = 1e-6;
 
 /// Which evaluation strategy [`CqServer`] uses.
 ///
@@ -40,12 +31,10 @@ pub enum EvalEngine {
         /// `shards − 1` worker threads plus the calling thread.
         shards: usize,
     },
-    /// The original per-query engine: each query gathers candidates from
-    /// the [`MovingIndex`] and filters them. Kept only as the
-    /// [`MovingIndex`]-generic equivalence oracle for the test batteries,
-    /// behind the default-on `legacy-oracle` feature — production builds
-    /// can compile it out with `--no-default-features`.
-    #[cfg(feature = "legacy-oracle")]
+    /// The store-scan reference: every round tests each reported node's
+    /// predicted position against every query. It keeps no derived state,
+    /// which makes it the plain reference the test batteries and the
+    /// benchmarks compare the unified engine against.
     Legacy,
 }
 
@@ -89,21 +78,17 @@ pub fn rebalance_from_env(default: bool) -> bool {
     }
 }
 
-/// A mobile CQ server instance, generic over the moving-object index (the
-/// SINA-style [`PredictedGrid`] by default; see
-/// [`TprTree`](crate::tpr_tree::TprTree) for the update-efficient
-/// alternative the paper cites).
+/// A mobile CQ server instance.
 #[derive(Debug, Clone)]
-pub struct CqServer<I: MovingIndex = PredictedGrid> {
+pub struct CqServer {
     bounds: Rect,
     store: NodeStore,
-    index: I,
     queries: Vec<RangeQuery>,
     evaluations: u64,
     engine: EvalEngine,
     /// Unified-engine state (boxed: it carries per-shard state, global
     /// per-node arrays and a lazily-created worker pool). Always present
-    /// — unused (and empty) while the legacy oracle is selected.
+    /// — unused (and empty) while the store-scan reference is selected.
     unified: Box<UnifiedEval>,
     /// Force evaluation rounds onto the calling thread (no worker pool);
     /// see [`CqServer::with_sequential_eval`].
@@ -114,39 +99,22 @@ pub struct CqServer<I: MovingIndex = PredictedGrid> {
     /// Whether the unified engine's online re-striper is enabled; see
     /// [`CqServer::with_rebalance`].
     rebalance: bool,
-    /// Legacy-path candidate scratch, reused across queries and rounds.
-    #[cfg(feature = "legacy-oracle")]
-    scratch: Vec<u32>,
 }
 
 // The simulation pipeline moves whole servers into per-policy lane
 // threads; keep that property from regressing (e.g. by an Rc sneaking
-// into the store or an index).
+// into the store or the engine).
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<CqServer<PredictedGrid>>();
-    assert_send::<CqServer<crate::tpr_tree::TprTree>>();
+    assert_send::<CqServer>();
 };
 
-impl CqServer<PredictedGrid> {
-    /// Creates a server for `num_nodes` nodes over `bounds`, with an
-    /// `index_side × index_side` grid index.
-    pub fn new(bounds: Rect, num_nodes: usize, index_side: usize) -> Self {
-        CqServer::with_index(
-            bounds,
-            num_nodes,
-            PredictedGrid::new(bounds, index_side, num_nodes),
-        )
-    }
-}
-
-impl<I: MovingIndex> CqServer<I> {
-    /// Creates a server using a custom moving-object index.
-    pub fn with_index(bounds: Rect, num_nodes: usize, index: I) -> Self {
+impl CqServer {
+    /// Creates a server for node ids `0..num_nodes` over `bounds`.
+    pub fn new(bounds: Rect, num_nodes: usize) -> Self {
         CqServer {
             bounds,
             store: NodeStore::new(num_nodes),
-            index,
             queries: Vec::new(),
             evaluations: 0,
             engine: EvalEngine::default(),
@@ -154,8 +122,6 @@ impl<I: MovingIndex> CqServer<I> {
             sequential_eval: false,
             dirty_tracking: true,
             rebalance: false,
-            #[cfg(feature = "legacy-oracle")]
-            scratch: Vec::new(),
         }
     }
 
@@ -163,8 +129,6 @@ impl<I: MovingIndex> CqServer<I> {
     /// [`EvalEngine::Unified`] with one shard).
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;
-        // Irrefutable when the legacy oracle is compiled out.
-        #[allow(irrefutable_let_patterns)]
         if let EvalEngine::Unified { shards } = engine {
             self.unified = Box::new(UnifiedEval::new(self.bounds, self.store.len(), shards));
             self.unified.set_dirty_tracking(self.dirty_tracking);
@@ -179,7 +143,7 @@ impl<I: MovingIndex> CqServer<I> {
     /// index-build time and a rebalance controller migrates whole cell
     /// columns between shards when sustained imbalance is detected —
     /// results stay bit-identical at every shard count either way. No
-    /// effect at one shard or on the legacy oracle.
+    /// effect at one shard or on the store-scan reference.
     pub fn with_rebalance(mut self, enabled: bool) -> Self {
         self.rebalance = enabled;
         self.unified.set_rebalance(enabled);
@@ -254,11 +218,10 @@ impl<I: MovingIndex> CqServer<I> {
 
     /// Ingests one position update (a new motion model for `node`). Stale
     /// (reordered) updates are rejected by the store and never reach the
-    /// index. Returns whether the update was applied.
+    /// engine. Returns whether the update was applied.
     pub fn ingest(&mut self, node: u32, t: f64, position: Point, velocity: (f64, f64)) -> bool {
         let first_report = !self.store.has(node);
         if self.store.apply(node, t, position, velocity) {
-            self.index.apply(node, t, position, velocity);
             if self.engine.is_unified() {
                 self.unified.on_ingest(node, first_report);
             }
@@ -275,7 +238,6 @@ impl<I: MovingIndex> CqServer<I> {
     /// time-stamped before the removed model — removal forgets history).
     pub fn remove_node(&mut self, node: u32) -> bool {
         if self.store.remove(node) {
-            self.index.remove(node);
             if self.engine.is_unified() {
                 self.unified.on_remove(node);
             }
@@ -283,12 +245,6 @@ impl<I: MovingIndex> CqServer<I> {
         } else {
             false
         }
-    }
-
-    /// Prepares the index for queries at time `t` (for refresh-based
-    /// indexes, moves entries to predicted positions).
-    pub fn refresh_index(&mut self, t: f64) {
-        self.index.prepare(t, &self.store);
     }
 
     /// Evaluates every registered query at time `t` against the predicted
@@ -306,8 +262,6 @@ impl<I: MovingIndex> CqServer<I> {
         self.evaluations += 1;
         match self.engine {
             EvalEngine::Unified { .. } => {
-                // The unified engine reads the node store directly; the
-                // moving-object index needs no per-round refresh.
                 self.unified.evaluate_into(
                     &self.queries,
                     &self.store,
@@ -316,24 +270,20 @@ impl<I: MovingIndex> CqServer<I> {
                     self.sequential_eval,
                 );
             }
-            #[cfg(feature = "legacy-oracle")]
             EvalEngine::Legacy => {
-                self.index.prepare(t, &self.store);
                 out.resize_with(self.queries.len(), QueryResult::default);
                 out.truncate(self.queries.len());
                 for (slot, q) in out.iter_mut().zip(&self.queries) {
-                    self.scratch.clear();
-                    self.index.candidates_into(&q.range, t, &mut self.scratch);
                     slot.query = q.id;
                     slot.nodes.clear();
-                    slot.nodes.extend(self.scratch.iter().copied().filter(|&n| {
-                        self.store
-                            .predict(n, t)
-                            .is_some_and(|p| q.range.contains(&p))
-                    }));
-                    // Candidates are unique by the `MovingIndex` contract,
-                    // so a sort suffices — no dedup.
-                    slot.nodes.sort_unstable();
+                }
+                // Ascending node order keeps every result sorted.
+                for (n, p) in self.predictions(t) {
+                    for (slot, q) in out.iter_mut().zip(&self.queries) {
+                        if q.range.contains(&p) {
+                            slot.nodes.push(n);
+                        }
+                    }
                 }
             }
         }
@@ -351,10 +301,10 @@ impl<I: MovingIndex> CqServer<I> {
     /// [`SheddingPlan::max_throttler_within`](lira_core::plan::SheddingPlan::max_throttler_within)
     /// with radius `Δ⊣` for a sound bound near region borders.
     /// `delta_of` must be a pure function of `(node, position)`: the
-    /// engines call it in different orders (legacy per query × candidate,
-    /// unified once per node from whichever worker owns the node's
-    /// stripe — hence the `Sync` bound), so a stateful closure would
-    /// diverge.
+    /// engines call it in different orders (the store scan once per node
+    /// in id order, unified once per node from whichever worker owns the
+    /// node's stripe — hence the `Sync` bound), so a stateful closure
+    /// would diverge.
     pub fn evaluate_uncertain(
         &mut self,
         t: f64,
@@ -389,89 +339,59 @@ impl<I: MovingIndex> CqServer<I> {
                     self.sequential_eval,
                 );
             }
-            #[cfg(feature = "legacy-oracle")]
             EvalEngine::Legacy => {
-                self.index.prepare(t, &self.store);
                 out.resize_with(self.queries.len(), UncertainResult::default);
                 out.truncate(self.queries.len());
                 for (slot, q) in out.iter_mut().zip(&self.queries) {
-                    // Candidates from the range expanded by the worst-case
-                    // bound (padded — see [`CANDIDATE_PAD`]).
-                    let expanded = q.range.expand(max_delta + CANDIDATE_PAD);
-                    self.scratch.clear();
-                    self.index.candidates_into(&expanded, t, &mut self.scratch);
                     slot.query = q.id;
                     slot.must.clear();
                     slot.maybe.clear();
-                    for &n in &self.scratch {
-                        let Some(p) = self.store.predict(n, t) else {
-                            continue;
-                        };
-                        let delta = delta_of(n, p).clamp(0.0, max_delta);
+                }
+                for (n, p) in self.predictions(t) {
+                    let delta = delta_of(n, p).clamp(0.0, max_delta);
+                    for (slot, q) in out.iter_mut().zip(&self.queries) {
                         if q.range.contains(&p) && q.range.interior_depth(&p) >= delta {
                             slot.must.push(n);
                         } else if q.range.distance_to_point(&p) <= delta {
                             slot.maybe.push(n);
                         }
                     }
-                    slot.must.sort_unstable();
-                    slot.maybe.sort_unstable();
                 }
             }
         }
     }
 
     /// The `k` nodes nearest to `center` at time `t` (by predicted
-    /// position), as `(node, distance)` sorted by ascending distance —
-    /// the paper's motivating Ride Finder query ("monitor nearby taxis").
-    ///
-    /// Works on any [`MovingIndex`] by searching expanding boxes around
-    /// `center`: a box of side `s` guarantees every unseen node is farther
-    /// than `s/2`, so the search stops as soon as the k-th hit is within
-    /// that bound. Returns fewer than `k` entries when fewer nodes have
-    /// reported. All engines share this path (which makes unified ≡
-    /// legacy trivial here) — the moving-object index is maintained on
-    /// ingest regardless of engine, and the local box probe beats a full
-    /// store scan at every benchmarked scale (`exp_eval`).
+    /// position), as `(node, distance)` sorted by ascending distance, ties
+    /// by node id — the paper's motivating Ride Finder query ("monitor
+    /// nearby taxis"). An exact scan of the store, shared by every engine.
+    /// Returns fewer than `k` entries when fewer nodes have reported.
     pub fn nearest(&mut self, center: Point, k: usize, t: f64) -> Vec<(u32, f64)> {
         if k == 0 {
             return Vec::new();
         }
         self.evaluations += 1;
-        self.index.prepare(t, &self.store);
-        let max_side = 2.0 * (self.bounds.width() + self.bounds.height());
-        let mut side = (self.bounds.width() / 16.0).max(1.0);
-        let mut candidates = Vec::new();
-        loop {
-            let range = Rect::new(
-                Point::new(center.x - side / 2.0, center.y - side / 2.0),
-                Point::new(center.x + side / 2.0, center.y + side / 2.0),
-            );
-            candidates.clear();
-            self.index.candidates_into(&range, t, &mut candidates);
-            let mut hits: Vec<(u32, f64)> = candidates
-                .iter()
-                .copied()
-                .filter_map(|n| self.store.predict(n, t).map(|p| (n, p.distance(&center))))
-                .filter(|(_, d)| *d <= side / 2.0)
-                .collect();
-            // Candidates are unique by the `MovingIndex` contract.
-            hits.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("finite distances")
-                    .then(a.0.cmp(&b.0))
-            });
-            if hits.len() >= k {
-                hits.truncate(k);
-                return hits;
-            }
-            if side >= max_side {
-                // The box covers every reported node: return what exists.
-                hits.truncate(k);
-                return hits;
-            }
-            side *= 2.0;
+        let mut hits: Vec<(u32, f64)> = self
+            .predictions(t)
+            .map(|(n, p)| (n, p.distance(&center)))
+            .collect();
+        let by_distance = |a: &(u32, f64), b: &(u32, f64)| {
+            a.1.partial_cmp(&b.1)
+                .expect("finite distances")
+                .then(a.0.cmp(&b.0))
+        };
+        if hits.len() > k {
+            hits.select_nth_unstable_by(k - 1, by_distance);
+            hits.truncate(k);
         }
+        hits.sort_unstable_by(by_distance);
+        hits
+    }
+
+    /// Every reported node with its predicted position at `t`, in
+    /// ascending id order.
+    fn predictions(&self, t: f64) -> impl Iterator<Item = (u32, Point)> + '_ {
+        (0..self.store.len() as u32).filter_map(move |n| self.store.predict(n, t).map(|p| (n, p)))
     }
 
     /// Predicted position of `node` at `t` (`None` until it reports).
@@ -494,7 +414,7 @@ impl<I: MovingIndex> CqServer<I> {
 
     /// Per-shard telemetry of the unified engine — node count, columns,
     /// cumulative round wall time and handoff count per stripe (one
-    /// entry at `shards = 1`). `None` while the legacy oracle is
+    /// entry at `shards = 1`). `None` while the store-scan reference is
     /// selected; empty until the first evaluation builds the stripes.
     pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
         if self.engine.is_unified() {
@@ -506,7 +426,8 @@ impl<I: MovingIndex> CqServer<I> {
 
     /// The unified engine's re-striper accounting — rebalances performed,
     /// columns migrated, cumulative migration pause, and the live
-    /// per-shard load CoV. `None` while the legacy oracle is selected.
+    /// per-shard load CoV. `None` while the store-scan reference is
+    /// selected.
     /// Counters stay zero unless [`with_rebalance`](Self::with_rebalance)
     /// (or [`force_restripe`](Self::force_restripe)) is used.
     pub fn restripe_stats(&self) -> Option<RestripeStats> {
@@ -521,7 +442,7 @@ impl<I: MovingIndex> CqServer<I> {
     /// occupancy, bypassing the imbalance trigger (test/benchmark hook;
     /// works even without [`with_rebalance`](Self::with_rebalance)).
     /// Returns the number of columns that changed owner — 0 before the
-    /// first evaluation, at one shard, or on the legacy oracle.
+    /// first evaluation, at one shard, or on the store-scan reference.
     pub fn force_restripe(&mut self) -> usize {
         if self.engine.is_unified() {
             self.unified.force_restripe(&self.queries)
@@ -536,7 +457,7 @@ mod tests {
     use super::*;
 
     fn server() -> CqServer {
-        CqServer::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), 8, 10)
+        CqServer::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), 8)
     }
 
     #[test]
@@ -719,11 +640,9 @@ mod tests {
     }
 
     #[test]
-    fn nearest_matches_brute_force_on_both_indexes() {
-        use crate::tpr_tree::TprTree;
+    fn nearest_matches_brute_force() {
         let bounds = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let mut grid = CqServer::new(bounds, 80, 10);
-        let mut tpr = CqServer::with_index(bounds, 80, TprTree::new(60.0));
+        let mut s = CqServer::new(bounds, 80);
         let mut truth = Vec::new();
         for i in 0..80u32 {
             let p = Point::new(
@@ -731,14 +650,15 @@ mod tests {
                 ((i as f64 * 77.3) % 983.0) + 1.0,
             );
             let v = ((i % 5) as f64 - 2.0, (i % 3) as f64 - 1.0);
-            grid.ingest(i, 0.0, p, v);
-            tpr.ingest(i, 0.0, p, v);
+            s.ingest(i, 0.0, p, v);
             truth.push((i, p, v));
         }
         for (t, cx, cy, k) in [
             (0.0, 10.0, 10.0, 5usize),
             (20.0, 500.0, 500.0, 10),
             (40.0, 990.0, 5.0, 1),
+            // Far outside the bounds: every node is still a candidate.
+            (0.0, -5000.0, 9000.0, 3),
         ] {
             let center = Point::new(cx, cy);
             let mut expected: Vec<(u32, f64)> = truth
@@ -750,71 +670,23 @@ mod tests {
                 .collect();
             expected.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
             expected.truncate(k);
-            let got_grid = grid.nearest(center, k, t);
-            let got_tpr = tpr.nearest(center, k, t);
-            for (got, label) in [(&got_grid, "grid"), (&got_tpr, "tpr")] {
-                assert_eq!(got.len(), k, "{label} at t={t}");
-                for ((gn, gd), (en, ed)) in got.iter().zip(&expected) {
-                    assert_eq!(gn, en, "{label} at t={t}");
-                    assert!((gd - ed).abs() < 1e-9, "{label} at t={t}");
-                }
+            let got = s.nearest(center, k, t);
+            assert_eq!(got.len(), k, "t={t}");
+            for ((gn, gd), (en, ed)) in got.iter().zip(&expected) {
+                assert_eq!(gn, en, "t={t}");
+                assert!((gd - ed).abs() < 1e-9, "t={t}");
             }
         }
     }
 
     #[test]
-    #[cfg(feature = "legacy-oracle")]
-    fn tpr_backed_server_matches_grid_backed() {
-        use crate::tpr_tree::TprTree;
-        let bounds = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let queries = [
-            RangeQuery {
-                id: 0,
-                range: Rect::from_coords(100.0, 100.0, 400.0, 400.0),
-            },
-            RangeQuery {
-                id: 1,
-                range: Rect::from_coords(500.0, 0.0, 1000.0, 500.0),
-            },
-        ];
-        let mut grid = CqServer::new(bounds, 50, 10);
-        let mut tpr = CqServer::with_index(bounds, 50, TprTree::new(60.0));
-        let mut grid_legacy = CqServer::new(bounds, 50, 10).with_engine(EvalEngine::Legacy);
-        let mut tpr_legacy =
-            CqServer::with_index(bounds, 50, TprTree::new(60.0)).with_engine(EvalEngine::Legacy);
-        for s in [&mut grid, &mut grid_legacy] {
-            s.register_queries(queries);
-        }
-        tpr.register_queries(queries);
-        tpr_legacy.register_queries(queries);
-        // A deterministic swirl of updates.
-        for i in 0..50u32 {
-            let x = 50.0 + (i as f64 * 37.0) % 900.0;
-            let y = 50.0 + (i as f64 * 91.0) % 900.0;
-            let v = ((i % 7) as f64 - 3.0, (i % 5) as f64 - 2.0);
-            for s in [&mut grid, &mut grid_legacy] {
-                s.ingest(i, 0.0, Point::new(x, y), v);
-            }
-            tpr.ingest(i, 0.0, Point::new(x, y), v);
-            tpr_legacy.ingest(i, 0.0, Point::new(x, y), v);
-        }
-        for t in [0.0, 10.0, 30.0, 75.0] {
-            let want = grid.evaluate(t);
-            assert_eq!(want, tpr.evaluate(t), "tpr unified, t = {t}");
-            assert_eq!(want, grid_legacy.evaluate(t), "grid legacy, t = {t}");
-            assert_eq!(want, tpr_legacy.evaluate(t), "tpr legacy, t = {t}");
-        }
-    }
-
-    #[test]
-    #[cfg(feature = "legacy-oracle")]
     fn engines_agree_across_incremental_rounds() {
         // Several consecutive rounds with interleaved updates exercise the
         // incremental path (cell crossings, partial-cell retests, the
-        // skip fast path) against the legacy oracle.
+        // skip fast path) against the store-scan reference.
         let bounds = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let mut inv = CqServer::new(bounds, 60, 10);
-        let mut leg = CqServer::new(bounds, 60, 10).with_engine(EvalEngine::Legacy);
+        let mut inv = CqServer::new(bounds, 60);
+        let mut leg = CqServer::new(bounds, 60).with_engine(EvalEngine::Legacy);
         let queries = [
             RangeQuery {
                 id: 7,

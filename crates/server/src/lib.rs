@@ -1,16 +1,17 @@
 //! # lira-server
 //!
 //! Mobile CQ server substrate for the LIRA reproduction: the last-report
-//! node store with dead-reckoning prediction, a grid spatial index, the
-//! continual range-query engine, the bounded position-update input queue
+//! node store with dead-reckoning prediction, the continual range-query
+//! engine, the bounded position-update input queue
 //! (with the λ/μ observations THROTLOOP consumes), the base-station layer,
-//! and the mobile-node-side shedder with its tiny 5×5 lookup grid.
+//! the mobile-node-side shedder with its tiny 5×5 lookup grid, and a
+//! standalone TPR-tree over moving points.
 //!
 //! ```
 //! use lira_server::prelude::*;
 //! use lira_core::geometry::{Point, Rect};
 //!
-//! let mut server = CqServer::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 4, 8);
+//! let mut server = CqServer::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 4);
 //! server.register_query(RangeQuery { id: 0, range: Rect::from_coords(0.0, 0.0, 50.0, 50.0) });
 //! server.ingest(2, 0.0, Point::new(10.0, 10.0), (1.0, 0.0));
 //! let results = server.evaluate(0.0);
@@ -20,9 +21,7 @@
 pub mod base_station;
 pub mod channel;
 pub mod cq_engine;
-pub mod grid_index;
 pub mod history;
-pub mod index;
 pub mod mobile;
 pub mod node_store;
 mod qindex;
@@ -42,9 +41,7 @@ pub mod prelude {
         RetryPolicy,
     };
     pub use crate::cq_engine::{rebalance_from_env, CqServer, EvalEngine};
-    pub use crate::grid_index::GridIndex;
     pub use crate::history::HistoryStore;
-    pub use crate::index::{MovingIndex, PredictedGrid};
     pub use crate::mobile::{MobileShedder, LOCAL_GRID_SIDE};
     pub use crate::node_store::{NodeStore, StoredModel};
     pub use crate::query::{sorted_difference_count, QueryResult, RangeQuery, UncertainResult};

@@ -2,6 +2,9 @@
 //! overflow behavior is exactly the "random update dropping" failure mode
 //! LIRA prevents, plus the arrival/service rate estimation THROTLOOP needs.
 
+use std::collections::vec_deque::Drain;
+use std::collections::VecDeque;
+
 use lira_core::throt_loop::QueueObservation;
 
 /// A bounded FIFO of position updates with drop accounting.
@@ -12,14 +15,13 @@ use lira_core::throt_loop::QueueObservation;
 /// without a second bookkeeping structure.
 #[derive(Debug, Clone)]
 pub struct UpdateQueue<T> {
-    items: std::collections::VecDeque<(f64, T)>,
+    items: VecDeque<(f64, T)>,
     capacity: usize,
     arrived: u64,
     dropped: u64,
     serviced: u64,
-    /// Window counters for rate estimation.
+    /// Arrivals in the current observation window.
     window_arrived: u64,
-    window_serviced: u64,
 }
 
 impl<T> UpdateQueue<T> {
@@ -27,13 +29,12 @@ impl<T> UpdateQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be positive");
         UpdateQueue {
-            items: std::collections::VecDeque::with_capacity(capacity),
+            items: VecDeque::with_capacity(capacity),
             capacity,
             arrived: 0,
             dropped: 0,
             serviced: 0,
             window_arrived: 0,
-            window_serviced: 0,
         }
     }
 
@@ -76,23 +77,15 @@ impl<T> UpdateQueue<T> {
         }
     }
 
-    /// Dequeues up to `n` updates for processing (FIFO order).
-    pub fn service(&mut self, n: usize) -> Vec<T> {
-        self.service_at(n)
-            .into_iter()
-            .map(|(_, item)| item)
-            .collect()
-    }
-
-    /// Dequeues up to `n` updates with their arrival timestamps (the
-    /// value passed to [`Self::offer_at`]; NaN for untimed offers). The
-    /// caller computes queueing latency as `now − arrived_at`.
-    pub fn service_at(&mut self, n: usize) -> Vec<(f64, T)> {
+    /// Dequeues up to `n` updates for processing, in FIFO order, with
+    /// their arrival timestamps (the value passed to [`Self::offer_at`];
+    /// NaN for untimed offers). The caller computes queueing latency as
+    /// `now − arrived_at`. The updates count as serviced at once: dropping
+    /// the iterator early still removes all of them.
+    pub fn service_at(&mut self, n: usize) -> Drain<'_, (f64, T)> {
         let take = n.min(self.items.len());
-        let out: Vec<(f64, T)> = self.items.drain(..take).collect();
-        self.serviced += out.len() as u64;
-        self.window_serviced += out.len() as u64;
-        out
+        self.serviced += take as u64;
+        self.items.drain(..take)
     }
 
     /// Lifetime arrivals.
@@ -138,7 +131,6 @@ impl<T> UpdateQueue<T> {
             service_rate: service_capacity,
         };
         self.window_arrived = 0;
-        self.window_serviced = 0;
         obs
     }
 }
@@ -146,6 +138,11 @@ impl<T> UpdateQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dequeues up to `n` items, dropping their timestamps.
+    fn service<T>(q: &mut UpdateQueue<T>, n: usize) -> Vec<T> {
+        q.service_at(n).map(|(_, item)| item).collect()
+    }
 
     #[test]
     fn fifo_order_and_capacity() {
@@ -156,9 +153,9 @@ mod tests {
         assert!(!q.offer(4), "overflow must drop");
         assert_eq!(q.len(), 3);
         assert_eq!(q.dropped(), 1);
-        assert_eq!(q.service(2), vec![1, 2]);
+        assert_eq!(service(&mut q, 2), vec![1, 2]);
         assert!(q.offer(5));
-        assert_eq!(q.service(10), vec![3, 5]);
+        assert_eq!(service(&mut q, 10), vec![3, 5]);
         assert!(q.is_empty());
         assert_eq!(q.serviced(), 4);
         assert_eq!(q.arrived(), 5);
@@ -181,7 +178,7 @@ mod tests {
         for i in 0..50 {
             q.offer(i);
         }
-        q.service(20);
+        service(&mut q, 20);
         let obs = q.window_observation(10.0, 3.5);
         assert_eq!(obs.arrival_rate, 5.0);
         assert_eq!(obs.service_rate, 3.5);
@@ -200,7 +197,7 @@ mod tests {
             for i in 0..200 {
                 q.offer(i);
             }
-            q.service(100);
+            service(&mut q, 100);
             let obs = q.window_observation(1.0, 100.0);
             loop_ctl.observe(obs);
         }
@@ -210,10 +207,10 @@ mod tests {
     #[test]
     fn service_zero_and_empty() {
         let mut q: UpdateQueue<u8> = UpdateQueue::new(4);
-        assert!(q.service(0).is_empty());
-        assert!(q.service(10).is_empty());
+        assert!(service(&mut q, 0).is_empty());
+        assert!(service(&mut q, 10).is_empty());
         q.offer(1);
-        assert!(q.service(0).is_empty());
+        assert!(service(&mut q, 0).is_empty());
         assert_eq!(q.len(), 1);
     }
 
@@ -229,7 +226,7 @@ mod tests {
         assert!(!q.offer(4));
         assert!(!q.offer(5));
         assert_eq!((q.len(), q.dropped(), q.arrived()), (4, 2, 6));
-        assert_eq!(q.service(1), vec![0]);
+        assert_eq!(service(&mut q, 1), vec![0]);
         assert!(q.offer(6));
         assert!(!q.offer(7));
         assert_eq!((q.len(), q.dropped()), (4, 3));
@@ -241,14 +238,14 @@ mod tests {
         for i in 0..6 {
             q.offer(i);
         }
-        q.service(4);
+        service(&mut q, 4);
         let w1 = q.window_observation(2.0, 7.0);
         assert_eq!(w1.arrival_rate, 3.0);
         // Lifetime counters survive the window close...
         assert_eq!((q.arrived(), q.serviced(), q.dropped()), (6, 4, 0));
         // ...while the window starts from zero and counts only new traffic.
         q.offer(100);
-        q.service(10);
+        service(&mut q, 10);
         let w2 = q.window_observation(1.0, 7.0);
         assert_eq!(w2.arrival_rate, 1.0);
         assert_eq!((q.arrived(), q.serviced()), (7, 7));
@@ -285,7 +282,7 @@ mod tests {
             "c", // untimed: arrival timestamp is NaN
         );
         let now = 12.5;
-        let served = q.service_at(3);
+        let served: Vec<(f64, &str)> = q.service_at(3).collect();
         let latencies: Vec<f64> = served.iter().map(|(t, _)| now - t).collect();
         assert_eq!(served[0].1, "a");
         assert!((latencies[0] - 2.5).abs() < 1e-12);
@@ -293,6 +290,20 @@ mod tests {
         assert!(latencies[2].is_nan(), "untimed offers carry no latency");
         // Mixed-API use keeps the counters coherent.
         assert_eq!((q.arrived(), q.serviced(), q.dropped()), (3, 3, 0));
+    }
+
+    #[test]
+    fn dropping_the_drain_early_still_services_every_taken_update() {
+        let mut q = UpdateQueue::new(8);
+        for i in 0..6 {
+            q.offer_at(i as f64, i);
+        }
+        let mut drain = q.service_at(4);
+        assert_eq!(drain.len(), 4);
+        assert_eq!(drain.next(), Some((0.0, 0)));
+        drop(drain);
+        assert_eq!((q.len(), q.serviced()), (2, 4));
+        assert_eq!(service(&mut q, 10), vec![4, 5]);
     }
 
     #[test]

@@ -1,25 +1,21 @@
 //! Property-based equivalence suite for the CQ evaluation engines:
-//! unified-incremental ≡ legacy per-query ≡ brute force, on both
-//! `PredictedGrid` and `TprTree`, for `evaluate`, `evaluate_uncertain`,
-//! and `nearest`. The unified engine runs at the shard count the CI
-//! matrix selects via `LIRA_TEST_SHARDS` (default 1, the degenerate
-//! single-stripe case).
+//! unified-incremental ≡ store scan ≡ brute force, for `evaluate`,
+//! `evaluate_uncertain`, and `nearest`. The unified engine runs at the
+//! shard count the CI matrix selects via `LIRA_TEST_SHARDS` (default 1,
+//! the degenerate single-stripe case).
 //!
 //! Every generated coordinate is a multiple of 62.5 m (exactly
-//! representable in binary) over a 1 km² space with 8×8 index cells of
-//! 125 m — so nodes routinely land *exactly* on query-range borders and
-//! index-cell boundaries, the places where the engines' different
-//! traversal orders could disagree. Positions outside the bounds exercise
-//! the clamped border cells.
-
-// The whole battery compares against the legacy oracle.
-#![cfg(feature = "legacy-oracle")]
+//! representable in binary) over a 1 km² space — so nodes routinely land
+//! *exactly* on query-range borders and on the unified engine's cell
+//! boundaries, the places where different traversal orders could
+//! disagree. Positions outside the bounds exercise the clamped border
+//! cells.
 
 use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
 use proptest::prelude::*;
 
-/// The coordinate lattice unit (m); binary-exact, half a 125 m index cell.
+/// The coordinate lattice unit (m); binary-exact.
 const U: f64 = 62.5;
 const NUM_NODES: usize = 24;
 
@@ -172,44 +168,32 @@ impl Oracle {
     }
 }
 
-/// All four engine × index combinations under test, fed identically.
-struct Quad {
-    grid_uni: CqServer,
-    grid_leg: CqServer,
-    tpr_uni: CqServer<TprTree>,
-    tpr_leg: CqServer<TprTree>,
+/// Both engines under test, fed identically.
+struct Pair {
+    uni: CqServer,
+    scan: CqServer,
 }
 
-impl Quad {
+impl Pair {
     fn new(queries: &[RangeQuery]) -> Self {
         let b = bounds();
-        let engine = EvalEngine::unified_from_env(1);
-        let mut quad = Quad {
-            grid_uni: CqServer::new(b, NUM_NODES, 8).with_engine(engine),
-            grid_leg: CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Legacy),
-            tpr_uni: CqServer::with_index(b, NUM_NODES, TprTree::new(60.0)).with_engine(engine),
-            tpr_leg: CqServer::with_index(b, NUM_NODES, TprTree::new(60.0))
-                .with_engine(EvalEngine::Legacy),
+        let mut pair = Pair {
+            uni: CqServer::new(b, NUM_NODES).with_engine(EvalEngine::unified_from_env(1)),
+            scan: CqServer::new(b, NUM_NODES).with_engine(EvalEngine::Legacy),
         };
-        quad.grid_uni.register_queries(queries.iter().copied());
-        quad.grid_leg.register_queries(queries.iter().copied());
-        quad.tpr_uni.register_queries(queries.iter().copied());
-        quad.tpr_leg.register_queries(queries.iter().copied());
-        quad
+        pair.uni.register_queries(queries.iter().copied());
+        pair.scan.register_queries(queries.iter().copied());
+        pair
     }
 
     fn ingest(&mut self, u: &Update) {
-        self.grid_uni.ingest(u.node, u.t, u.pos, u.vel);
-        self.grid_leg.ingest(u.node, u.t, u.pos, u.vel);
-        self.tpr_uni.ingest(u.node, u.t, u.pos, u.vel);
-        self.tpr_leg.ingest(u.node, u.t, u.pos, u.vel);
+        self.uni.ingest(u.node, u.t, u.pos, u.vel);
+        self.scan.ingest(u.node, u.t, u.pos, u.vel);
     }
 
     fn replace(&mut self, queries: &[RangeQuery]) {
-        self.grid_uni.replace_queries(queries.iter().copied());
-        self.grid_leg.replace_queries(queries.iter().copied());
-        self.tpr_uni.replace_queries(queries.iter().copied());
-        self.tpr_leg.replace_queries(queries.iter().copied());
+        self.uni.replace_queries(queries.iter().copied());
+        self.scan.replace_queries(queries.iter().copied());
     }
 }
 
@@ -228,28 +212,26 @@ proptest! {
         qs in query_set(8),
         qs2 in query_set(5),
     ) {
-        let mut quad = Quad::new(&qs);
+        let mut pair = Pair::new(&qs);
         let mut oracle = Oracle::new();
         // Interleave ingest and evaluation so the unified engine runs
         // genuine incremental rounds (round 0 is its full rebuild).
         for (round, chunk) in ups.chunks(8).enumerate() {
             for u in chunk {
-                quad.ingest(u);
+                pair.ingest(u);
                 oracle.apply(u);
             }
             let t = round as f64 + 0.5;
             let want = oracle.evaluate(&qs, t);
-            prop_assert_eq!(&quad.grid_uni.evaluate(t), &want, "grid/unified t={}", t);
-            prop_assert_eq!(&quad.grid_leg.evaluate(t), &want, "grid/legacy t={}", t);
-            prop_assert_eq!(&quad.tpr_uni.evaluate(t), &want, "tpr/unified t={}", t);
-            prop_assert_eq!(&quad.tpr_leg.evaluate(t), &want, "tpr/legacy t={}", t);
+            prop_assert_eq!(&pair.uni.evaluate(t), &want, "unified t={}", t);
+            prop_assert_eq!(&pair.scan.evaluate(t), &want, "scan t={}", t);
         }
         // Workload swap: the query index must invalidate and rebuild.
-        quad.replace(&qs2);
+        pair.replace(&qs2);
         let t = 9.0;
         let want = oracle.evaluate(&qs2, t);
-        prop_assert_eq!(&quad.grid_uni.evaluate(t), &want, "grid/unified after swap");
-        prop_assert_eq!(&quad.tpr_uni.evaluate(t), &want, "tpr/unified after swap");
+        prop_assert_eq!(&pair.uni.evaluate(t), &want, "unified after swap");
+        prop_assert_eq!(&pair.scan.evaluate(t), &want, "scan after swap");
     }
 
     #[test]
@@ -258,34 +240,25 @@ proptest! {
         qs in query_set(6),
         dmax_step in 1i32..4,
     ) {
-        // Δ⊣ at binary-exact multiples of half a cell, so expanded query
-        // edges also align with cell boundaries (the hardest case for
-        // candidate gathering).
+        // Δ⊣ at binary-exact multiples of half a lattice unit, so expanded
+        // query edges also align with lattice points.
         let max_delta = dmax_step as f64 * 31.25;
-        let mut quad = Quad::new(&qs);
+        let mut pair = Pair::new(&qs);
         let mut oracle = Oracle::new();
         for (round, chunk) in ups.chunks(10).enumerate() {
             for u in chunk {
-                quad.ingest(u);
+                pair.ingest(u);
                 oracle.apply(u);
             }
             let t = round as f64 + 0.25;
             let want = oracle.evaluate_uncertain(&qs, t, max_delta, delta_of);
             prop_assert_eq!(
-                &quad.grid_uni.evaluate_uncertain(t, max_delta, delta_of),
-                &want, "grid/unified t={}", t
+                &pair.uni.evaluate_uncertain(t, max_delta, delta_of),
+                &want, "unified t={}", t
             );
             prop_assert_eq!(
-                &quad.grid_leg.evaluate_uncertain(t, max_delta, delta_of),
-                &want, "grid/legacy t={}", t
-            );
-            prop_assert_eq!(
-                &quad.tpr_uni.evaluate_uncertain(t, max_delta, delta_of),
-                &want, "tpr/unified t={}", t
-            );
-            prop_assert_eq!(
-                &quad.tpr_leg.evaluate_uncertain(t, max_delta, delta_of),
-                &want, "tpr/legacy t={}", t
+                &pair.scan.evaluate_uncertain(t, max_delta, delta_of),
+                &want, "scan t={}", t
             );
         }
     }
@@ -299,18 +272,16 @@ proptest! {
         k in 0usize..8,
     ) {
         let center = Point::new(ci as f64 * U, cj as f64 * U);
-        let mut quad = Quad::new(&qs);
+        let mut pair = Pair::new(&qs);
         let mut oracle = Oracle::new();
         for u in &ups {
-            quad.ingest(u);
+            pair.ingest(u);
             oracle.apply(u);
         }
         let t = 4.0;
         let want = oracle.nearest(center, k, t);
-        prop_assert_eq!(&quad.grid_uni.nearest(center, k, t), &want, "grid/unified");
-        prop_assert_eq!(&quad.grid_leg.nearest(center, k, t), &want, "grid/legacy");
-        prop_assert_eq!(&quad.tpr_uni.nearest(center, k, t), &want, "tpr/unified");
-        prop_assert_eq!(&quad.tpr_leg.nearest(center, k, t), &want, "tpr/legacy");
+        prop_assert_eq!(&pair.uni.nearest(center, k, t), &want, "unified");
+        prop_assert_eq!(&pair.scan.nearest(center, k, t), &want, "scan");
     }
 }
 
@@ -320,7 +291,7 @@ proptest! {
 fn border_points_resolve_identically_on_every_engine() {
     let range = Rect::from_coords(250.0, 250.0, 500.0, 500.0);
     let qs = [RangeQuery { id: 0, range }];
-    let mut quad = Quad::new(&qs);
+    let mut pair = Pair::new(&qs);
     let mut oracle = Oracle::new();
     let cases = [
         Point::new(250.0, 250.0),   // min corner: inside (half-open)
@@ -339,40 +310,24 @@ fn border_points_resolve_identically_on_every_engine() {
             pos: *p,
             vel: (0.0, 0.0),
         };
-        quad.ingest(&u);
+        pair.ingest(&u);
         oracle.apply(&u);
     }
     let want = oracle.evaluate(&qs, 0.0);
-    assert_eq!(quad.grid_uni.evaluate(0.0), want);
-    assert_eq!(quad.grid_leg.evaluate(0.0), want);
-    assert_eq!(quad.tpr_uni.evaluate(0.0), want);
-    assert_eq!(quad.tpr_leg.evaluate(0.0), want);
+    assert_eq!(pair.uni.evaluate(0.0), want);
+    assert_eq!(pair.scan.evaluate(0.0), want);
     // Nodes sitting at distance exactly Δ from the range must classify
     // identically too (the maybe-boundary).
     let want = oracle.evaluate_uncertain(&qs, 0.0, 62.5, |_, _| 62.5);
-    assert_eq!(
-        quad.grid_uni.evaluate_uncertain(0.0, 62.5, |_, _| 62.5),
-        want
-    );
-    assert_eq!(
-        quad.grid_leg.evaluate_uncertain(0.0, 62.5, |_, _| 62.5),
-        want
-    );
-    assert_eq!(
-        quad.tpr_uni.evaluate_uncertain(0.0, 62.5, |_, _| 62.5),
-        want
-    );
-    assert_eq!(
-        quad.tpr_leg.evaluate_uncertain(0.0, 62.5, |_, _| 62.5),
-        want
-    );
+    assert_eq!(pair.uni.evaluate_uncertain(0.0, 62.5, |_, _| 62.5), want);
+    assert_eq!(pair.scan.evaluate_uncertain(0.0, 62.5, |_, _| 62.5), want);
     // Zero Δ degenerates to exact evaluation for `must`; `maybe` shrinks
     // to exactly the nodes sitting *on* the closed boundary (distance 0
     // but outside the half-open rect).
     let exact = oracle.evaluate(&qs, 0.0);
-    let zero = quad.grid_uni.evaluate_uncertain(0.0, 0.0, |_, _| 0.0);
+    let zero = pair.uni.evaluate_uncertain(0.0, 0.0, |_, _| 0.0);
     assert_eq!(zero[0].must, exact[0].nodes);
-    assert_eq!(zero, quad.grid_leg.evaluate_uncertain(0.0, 0.0, |_, _| 0.0));
+    assert_eq!(zero, pair.scan.evaluate_uncertain(0.0, 0.0, |_, _| 0.0));
     for &n in &zero[0].maybe {
         let p = oracle.predict(n as usize, 0.0).unwrap();
         assert!(!range.contains(&p));

@@ -92,26 +92,26 @@ impl Fleet {
         let rebalanced = vec![
             (
                 2,
-                CqServer::new(b, NUM_NODES, 8)
+                CqServer::new(b, NUM_NODES)
                     .with_engine(EvalEngine::Unified { shards: 2 })
                     .with_rebalance(true),
             ),
             (
                 3,
-                CqServer::new(b, NUM_NODES, 8)
+                CqServer::new(b, NUM_NODES)
                     .with_rebalance(true)
                     .with_engine(EvalEngine::Unified { shards: 3 })
                     .with_sequential_eval(true),
             ),
             (
                 8,
-                CqServer::new(b, NUM_NODES, 8)
+                CqServer::new(b, NUM_NODES)
                     .with_engine(EvalEngine::Unified { shards: 8 })
                     .with_rebalance(true),
             ),
         ];
         let mut fleet = Fleet {
-            oracle: CqServer::new(b, NUM_NODES, 8),
+            oracle: CqServer::new(b, NUM_NODES),
             rebalanced,
         };
         fleet.oracle.register_queries(queries.iter().copied());
@@ -219,8 +219,8 @@ fn sustained_hotspot_triggers_the_restriper() {
         range,
     })
     .collect();
-    let mut oracle = CqServer::new(bounds(), NUM_NODES, 8);
-    let mut server = CqServer::new(bounds(), NUM_NODES, 8)
+    let mut oracle = CqServer::new(bounds(), NUM_NODES);
+    let mut server = CqServer::new(bounds(), NUM_NODES)
         .with_engine(EvalEngine::Unified { shards: 4 })
         .with_rebalance(true);
     oracle.register_queries(qs.iter().copied());
@@ -274,15 +274,15 @@ fn sustained_hotspot_triggers_the_restriper() {
 }
 
 /// Accounting edges: nothing to migrate before the first round, at one
-/// shard, or on the legacy oracle; stats start zeroed.
+/// shard, or on the store-scan reference; stats start zeroed.
 #[test]
 fn restripe_accounting_edges() {
-    let mut fresh = CqServer::new(bounds(), 8, 8).with_engine(EvalEngine::Unified { shards: 4 });
+    let mut fresh = CqServer::new(bounds(), 8).with_engine(EvalEngine::Unified { shards: 4 });
     assert_eq!(fresh.force_restripe(), 0, "unprimed engine has no columns");
     let rs = fresh.restripe_stats().expect("unified");
     assert_eq!(rs, RestripeStats::default());
 
-    let mut single = CqServer::new(bounds(), 8, 8).with_rebalance(true);
+    let mut single = CqServer::new(bounds(), 8).with_rebalance(true);
     single.register_query(RangeQuery {
         id: 0,
         range: Rect::from_coords(0.0, 0.0, 1000.0, 1000.0),
@@ -296,10 +296,7 @@ fn restripe_accounting_edges() {
         "one shard is never imbalanced"
     );
 
-    #[cfg(feature = "legacy-oracle")]
-    {
-        let mut legacy = CqServer::new(bounds(), 8, 8).with_engine(EvalEngine::Legacy);
-        assert_eq!(legacy.restripe_stats(), None);
-        assert_eq!(legacy.force_restripe(), 0);
-    }
+    let mut legacy = CqServer::new(bounds(), 8).with_engine(EvalEngine::Legacy);
+    assert_eq!(legacy.restripe_stats(), None);
+    assert_eq!(legacy.force_restripe(), 0);
 }

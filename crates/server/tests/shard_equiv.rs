@@ -1,7 +1,7 @@
 //! Property-based equivalence suite for the unified engine across shard
 //! counts: unified at shards ∈ {1, 2, 3, 7, 8} (plus a pool-free
 //! sequential run and the `LIRA_TEST_SHARDS` CI count) ≡ the
-//! dirty-tracking-off baseline ≡ legacy ≡ brute force, for `evaluate`,
+//! dirty-tracking-off baseline ≡ store scan ≡ brute force, for `evaluate`,
 //! `evaluate_uncertain`, and `nearest`.
 //!
 //! Coordinates reuse the lattice trick from `eval_equiv.rs` — every
@@ -12,9 +12,6 @@
 //! are evaluated twice per step (advancing `t`, then the same `t` again
 //! after more ingests) so the engine's work-skipping dirty rounds are
 //! exercised as hard as its full sweeps and handoffs.
-
-// The whole battery compares against the legacy oracle.
-#![cfg(feature = "legacy-oracle")]
 
 use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
@@ -178,8 +175,8 @@ impl Oracle {
 
 /// Every engine configuration under test, fed identically: the two
 /// reference servers (the dirty-tracking-off baseline — the retired
-/// inverted engine's every-node incremental round — and the legacy
-/// oracle), one pooled unified server per count in `SHARD_COUNTS`, one
+/// inverted engine's every-node incremental round — and the store-scan
+/// reference), one pooled unified server per count in `SHARD_COUNTS`, one
 /// forced onto the calling thread (sequential ≡ parallel), and one with
 /// the CI matrix's `LIRA_TEST_SHARDS` count.
 struct Fleet {
@@ -199,7 +196,7 @@ impl Fleet {
             .map(|&s| {
                 (
                     s,
-                    CqServer::new(b, NUM_NODES, 8)
+                    CqServer::new(b, NUM_NODES)
                         .with_engine(EvalEngine::Unified { shards: s })
                         .with_rebalance(rb),
                 )
@@ -209,7 +206,7 @@ impl Fleet {
         // must be bit-identical to the pooled run.
         unified.push((
             4,
-            CqServer::new(b, NUM_NODES, 8)
+            CqServer::new(b, NUM_NODES)
                 .with_engine(EvalEngine::Unified { shards: 4 })
                 .with_rebalance(rb)
                 .with_sequential_eval(true),
@@ -217,20 +214,20 @@ impl Fleet {
         // The CI matrix leg (LIRA_TEST_SHARDS ∈ {4, 8}) widens coverage.
         unified.push((
             0, // label: env-selected
-            CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::unified_from_env(4)),
+            CqServer::new(b, NUM_NODES).with_engine(EvalEngine::unified_from_env(4)),
         ));
         // Re-striper always on regardless of the environment (builder
         // order deliberately reversed vs the servers above: the flag must
         // survive `with_engine`'s state reset).
         unified.push((
             33, // label: shards = 3 with load-aware striping forced on
-            CqServer::new(b, NUM_NODES, 8)
+            CqServer::new(b, NUM_NODES)
                 .with_rebalance(true)
                 .with_engine(EvalEngine::Unified { shards: 3 }),
         ));
         let mut fleet = Fleet {
-            baseline: CqServer::new(b, NUM_NODES, 8).with_dirty_tracking(false),
-            legacy: CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Legacy),
+            baseline: CqServer::new(b, NUM_NODES).with_dirty_tracking(false),
+            legacy: CqServer::new(b, NUM_NODES).with_engine(EvalEngine::Legacy),
             unified,
         };
         fleet.baseline.register_queries(queries.iter().copied());
@@ -445,7 +442,7 @@ fn shard_stats_reflect_layout_and_occupancy() {
         })
         .collect();
     let mut server =
-        CqServer::new(bounds(), NUM_NODES, 8).with_engine(EvalEngine::Unified { shards: 3 });
+        CqServer::new(bounds(), NUM_NODES).with_engine(EvalEngine::Unified { shards: 3 });
     assert_eq!(server.shard_stats(), Some(Vec::new()), "no stripes yet");
     server.register_queries(qs);
     // All nodes in the westmost column.
@@ -462,8 +459,8 @@ fn shard_stats_reflect_layout_and_occupancy() {
     assert_eq!(stats[0].nodes, NUM_NODES, "west stripe owns everything");
     assert_eq!(stats[1].nodes + stats[2].nodes, 0);
     // The unified engine always has stripes — the default server reports
-    // its single degenerate one; only the legacy oracle has none.
-    let mut default_server = CqServer::new(bounds(), 4, 8);
+    // its single degenerate one; only the store-scan reference has none.
+    let mut default_server = CqServer::new(bounds(), 4);
     default_server.register_query(RangeQuery {
         id: 0,
         range: Rect::from_coords(0.0, 0.0, 1000.0, 1000.0),
@@ -473,10 +470,10 @@ fn shard_stats_reflect_layout_and_occupancy() {
     assert_eq!(stats.len(), 1, "shards = 1 is one degenerate stripe");
     assert_eq!(stats[0].columns, (0, 4), "side_for(1) = 4 columns");
     assert_eq!(
-        CqServer::new(bounds(), 4, 8)
+        CqServer::new(bounds(), 4)
             .with_engine(EvalEngine::Legacy)
             .shard_stats(),
         None,
-        "the legacy oracle has no shards"
+        "the store-scan reference has no shards"
     );
 }

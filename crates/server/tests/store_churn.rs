@@ -3,7 +3,7 @@
 //! stale ones), *removals*, and re-registrations, with evaluate rounds
 //! in between — results must stay bit-identical to a brute-force oracle
 //! that models the store's exact staleness and removal semantics, and to
-//! the legacy per-query path. Rounds reuse the same output buffers
+//! the store-scan reference. Rounds reuse the same output buffers
 //! throughout (the membership/result buffer-reuse contract): a node that
 //! vanishes must vanish from the *reused* vectors too, not merely from
 //! freshly-allocated ones.
@@ -11,9 +11,6 @@
 //! Coordinates use the binary-exact 62.5 m lattice from `eval_equiv.rs`
 //! so removals and re-insertions land exactly on cell and stripe
 //! boundaries.
-
-// The battery compares against the legacy oracle.
-#![cfg(feature = "legacy-oracle")]
 
 use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
@@ -159,17 +156,17 @@ proptest! {
         qs in query_set(7),
     ) {
         let b = bounds();
-        // Unified at 1 and 3 shards plus the legacy path; output buffers
+        // Unified at 1 and 3 shards plus the store scan; output buffers
         // created once and reused across every round below.
         let mut servers: Vec<(String, CqServer)> = vec![
-            ("unified(1)".into(), CqServer::new(b, NUM_NODES, 8)),
+            ("unified(1)".into(), CqServer::new(b, NUM_NODES)),
             (
                 "unified(3)".into(),
-                CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Unified { shards: 3 }),
+                CqServer::new(b, NUM_NODES).with_engine(EvalEngine::Unified { shards: 3 }),
             ),
             (
                 "legacy".into(),
-                CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Legacy),
+                CqServer::new(b, NUM_NODES).with_engine(EvalEngine::Legacy),
             ),
         ];
         for (_, s) in &mut servers {
@@ -231,7 +228,7 @@ proptest! {
 /// report is silently lost on the uplink, some of those same nodes are
 /// removed server-side, and after the window they re-register through
 /// the recovered channel. The unified engine (1 and 3 shards) and the
-/// legacy path must agree bit for bit at every round — losses arriving
+/// store-scan reference must agree bit for bit at every round — losses arriving
 /// as *gaps* (a removal with no subsequent report) exercise a different
 /// store path than the usual stale-rejection churn.
 #[test]
@@ -246,14 +243,14 @@ fn churn_across_a_regional_outage_window_stays_engine_identical() {
     let mut ch: FaultyChannel<(u32, f64, Point, (f64, f64))> = FaultyChannel::new(profile, 3);
 
     let mut servers: Vec<(String, CqServer)> = vec![
-        ("unified(1)".into(), CqServer::new(bounds(), NUM_NODES, 8)),
+        ("unified(1)".into(), CqServer::new(bounds(), NUM_NODES)),
         (
             "unified(3)".into(),
-            CqServer::new(bounds(), NUM_NODES, 8).with_engine(EvalEngine::Unified { shards: 3 }),
+            CqServer::new(bounds(), NUM_NODES).with_engine(EvalEngine::Unified { shards: 3 }),
         ),
         (
             "legacy".into(),
-            CqServer::new(bounds(), NUM_NODES, 8).with_engine(EvalEngine::Legacy),
+            CqServer::new(bounds(), NUM_NODES).with_engine(EvalEngine::Legacy),
         ),
     ];
     let qs = [
@@ -354,7 +351,7 @@ fn remove_then_reingest_within_one_round() {
         range: Rect::from_coords(0.0, 0.0, 1000.0, 1000.0),
     }];
     for shards in [1usize, 2, 4] {
-        let mut s = CqServer::new(bounds(), 4, 8).with_engine(EvalEngine::Unified { shards });
+        let mut s = CqServer::new(bounds(), 4).with_engine(EvalEngine::Unified { shards });
         s.register_queries(qs);
         let mut buf = Vec::new();
         s.ingest(0, 0.0, Point::new(100.0, 100.0), (0.0, 0.0));

@@ -200,7 +200,7 @@ impl SimSetup {
         sequential_eval: bool,
         rebalance: bool,
     ) -> CqServer {
-        let mut s = CqServer::new(self.bounds, sc.num_cars, 64)
+        let mut s = CqServer::new(self.bounds, sc.num_cars)
             .with_engine(engine)
             .with_sequential_eval(sequential_eval)
             .with_rebalance(rebalance);
@@ -803,8 +803,7 @@ impl SimPipeline {
 
     /// Selects the CQ evaluation engine used by the reference server and
     /// every policy lane. Every engine configuration yields bit-identical
-    /// reports (asserted by `tests/pipeline.rs`); the legacy oracle
-    /// exists behind the default-on `legacy-oracle` feature.
+    /// reports (asserted by `tests/pipeline.rs`).
     #[must_use]
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;

@@ -212,8 +212,8 @@ mod tests {
         let mut a = ChurnWorkload::new(200, 7, 0.1, space);
         let mut b = ChurnWorkload::new(200, 7, 0.1, space);
         assert_eq!(a.positions, b.positions);
-        let mut sa = CqServer::new(bounds, 200, 8);
-        let mut sb = CqServer::new(bounds, 200, 8);
+        let mut sa = CqServer::new(bounds, 200);
+        let mut sb = CqServer::new(bounds, 200);
         a.prime(&mut sa);
         b.prime(&mut sb);
         for _ in 0..30 {
@@ -236,8 +236,8 @@ mod tests {
         let bounds = Rect::from_coords(0.0, 0.0, space, space);
         let mut direct = ChurnWorkload::new(64, 3, 0.25, space);
         let mut relayed = ChurnWorkload::new(64, 3, 0.25, space);
-        let mut sa = CqServer::new(bounds, 64, 8);
-        let mut sb = CqServer::new(bounds, 64, 8);
+        let mut sa = CqServer::new(bounds, 64);
+        let mut sb = CqServer::new(bounds, 64);
         direct.prime(&mut sa);
         let mut batch: Vec<(u32, Point, (f64, f64))> = Vec::new();
         relayed.prime_with(|id, p, v| batch.push((id, p, v)));

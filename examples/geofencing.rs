@@ -1,5 +1,5 @@
 //! Geofencing with honest uncertainty: three-valued query results on top
-//! of LIRA shedding, served from a TPR-tree index.
+//! of LIRA shedding.
 //!
 //! A security perimeter (geofence) must alert when vehicles are inside.
 //! Under load shedding the server only knows positions to within each
@@ -44,9 +44,7 @@ fn main() -> Result<()> {
     let shedder = LiraShedder::new(config.clone(), 1000)?;
     let plan = shedder.adapt_with_throttle(&grid, 0.4)?.plan;
 
-    // The CQ server runs on the TPR-tree (time-parameterized) index: no
-    // per-evaluation refresh needed.
-    let mut server = CqServer::with_index(bounds, 300, TprTree::new(60.0));
+    let mut server = CqServer::new(bounds, 300);
     server.register_query(RangeQuery {
         id: 0,
         range: fence,

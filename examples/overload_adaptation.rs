@@ -72,7 +72,7 @@ fn main() -> Result<()> {
                 }
             }
             // The server drains at its fixed service rate.
-            queue.service(SERVICE_RATE as usize);
+            queue.service_at(SERVICE_RATE as usize);
         }
 
         // End of window: THROTLOOP observes and LIRA re-plans.

@@ -108,7 +108,7 @@ fn dead_reckoning_keeps_server_within_delta() {
             seed: 3,
         },
     );
-    let mut server = CqServer::new(bounds, 30, 16);
+    let mut server = CqServer::new(bounds, 30);
     let mut reckoners = vec![DeadReckoner::new(); 30];
     let delta = 25.0;
     for _ in 0..300 {
@@ -461,7 +461,7 @@ fn uncertain_evaluation_guarantees_hold_end_to_end() {
     let shedder = LiraShedder::new(config.clone(), 100).unwrap();
     let plan = shedder.adapt_with_throttle(&grid, 0.4).unwrap().plan;
 
-    let mut server = CqServer::new(bounds, 120, 16);
+    let mut server = CqServer::new(bounds, 120);
     server.register_queries([
         RangeQuery {
             id: 0,

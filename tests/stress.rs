@@ -93,7 +93,7 @@ fn crossing_heavy_traffic_conserves_memberships_across_stripes() {
             }
         })
         .collect();
-    let mut server = CqServer::new(bounds, NUM, 8).with_engine(EvalEngine::Unified { shards: 8 });
+    let mut server = CqServer::new(bounds, NUM).with_engine(EvalEngine::Unified { shards: 8 });
     server.register_queries(queries.iter().copied());
     for n in 0..NUM as u32 {
         let x = 100.0 + (n as f64 * 37.0) % 700.0;
